@@ -1,7 +1,8 @@
 // Recall-vs-speed series for the IVF approximate blocking index
 // (index/ivf_index.h): at N in {2.5k, 25k, 100k} items, sweep nprobe and
 // report QueryBatch wall-clock, speedup over the exact oracle, and
-// recall@k against the exact top-k. The 2.5k point is paper scale (where
+// recall@k against the exact top-k, plus the cost of growing a live index
+// in batches and one row at a time. The 2.5k point is paper scale (where
 // the pipelines default to the exact path); the 100k point is where the
 // sub-linear flop count pays. scripts/bench_compare.py treats recall_at_k
 // as a correctness metric: a drop beyond tolerance FAILs the comparison.
@@ -272,6 +273,44 @@ void Run(const std::string& json_path) {
       r.Num("seconds", mean_batch_seconds);
       r.Num("speedup", speedup);
       r.Num("recall_at_k", recall);
+    }
+
+    // Single-row series: the live-serving write path. The index is built
+    // over all but the last 2000 items, which then arrive one Insert at a
+    // time (default knobs: 2000 arrivals stay below the volume re-train).
+    // `seconds` is the mean per single-row Insert, re-layouts included;
+    // recall@10 afterwards is gated like the incremental series.
+    if (n_items >= 25000) {
+      const int n_arrivals = 2000;
+      const int start = n_items - n_arrivals;
+      index::IvfIndex live(items.data(), start, dim);
+      WallTimer timer;
+      for (int i = start; i < n_items; ++i) {
+        SUDO_CHECK_OK(
+            live.Insert(items.data() + static_cast<size_t>(i) * dim, 1, dim));
+      }
+      const double mean_seconds = timer.ElapsedSeconds() / n_arrivals;
+      const int nprobe = 16;
+      const double recall = RecallAtK(
+          truth, live.QueryBatch(queries.data(), n_queries, dim, k, nprobe));
+      TablePrinter single_table(StrFormat(
+          "Live IVF single-row inserts %d -> %d (%d retrains)", start,
+          n_items, live.retrain_count()));
+      single_table.SetHeader({"mean us/insert", "recall@10 (nprobe=16)"});
+      single_table.AddRow({StrFormat("%.2f", 1e6 * mean_seconds),
+                           StrFormat("%.4f", recall)});
+      single_table.Print();
+      auto& r = records.Add();
+      r.Str("bench", "ann_single_insert");
+      r.Int("n_items", n_items);
+      r.Int("n_queries", n_queries);
+      r.Int("dim", dim);
+      r.Int("k", k);
+      r.Int("nprobe", nprobe);
+      r.Int("n_inserts", n_arrivals);
+      r.Num("seconds", mean_seconds);
+      r.Num("recall_at_k", recall);
+      r.Int("bytes_resident", static_cast<int64_t>(live.bytes_resident()));
     }
   }
 

@@ -21,6 +21,13 @@ namespace {
 /// blocking is invisible in the results.
 constexpr int kQueryBlock = 32;
 
+/// A re-layout gives each cell free tail slots for a quarter of its size
+/// (plus a few, so tiny cells do not re-lay out on every arrival): a cell
+/// fills only after growing by that fraction, so the O(N) re-layout is
+/// paid once per O(N) arrivals while they spread over the cells.
+constexpr int kHeadroomDivisor = 4;
+constexpr int kMinHeadroom = 4;
+
 }  // namespace
 
 void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
@@ -31,7 +38,12 @@ void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
   n_at_last_train_ = n;
   inserts_since_train_ = 0;
   cell_start_.assign(1, 0);
+  cell_end_.clear();
+  cell_live_.clear();
   centroids_.clear();
+  // Release the old slots (not just clear them): on a retrain `staging`
+  // already holds every live row, and keeping both would double the peak.
+  store_ = QuantRowStore();
   store_.Reset(dim, storage_.storage);
   ids_.clear();
   pos_by_id_.clear();
@@ -84,6 +96,8 @@ void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
     new_cell[static_cast<size_t>(c)] =
         static_cast<int>(cell_start_.size()) - 1;
     cell_start_.push_back(cell_start_.back() + counts[static_cast<size_t>(c)]);
+    cell_end_.push_back(cell_start_.back());  // no headroom when trained
+    cell_live_.push_back(counts[static_cast<size_t>(c)]);
     centroids_.insert(centroids_.end(),
                       km.centroids.begin() + static_cast<size_t>(c) * dim,
                       km.centroids.begin() + static_cast<size_t>(c + 1) * dim);
@@ -211,7 +225,7 @@ void IvfIndex::GatherLiveStore(QuantRowStore* staging,
   staging->Reserve(size());
   ids->clear();
   ids->reserve(static_cast<size_t>(size()));
-  for (int pos = 0; pos < n_; ++pos) {
+  for (int pos = 0; pos < static_cast<int>(ids_.size()); ++pos) {
     if (ids_[static_cast<size_t>(pos)] >= 0) ids->push_back(pos);
   }
   std::sort(ids->begin(), ids->end(), [this](int a, int b) {
@@ -256,59 +270,30 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
     }
   }
 
-  // One-pass layout rewrite: each cell's region becomes [old live rows in
-  // storage order | new rows in arrival order]. Ids are monotone, so the
-  // within-cell ascending-id invariant is preserved; tombstones are
-  // dropped for free while we are rewriting anyway.
-  std::vector<int> new_start(static_cast<size_t>(cells) + 1, 0);
+  // Each arrival goes to the end of its cell's used range, in arrival
+  // order: ids are monotone, so the within-cell ascending-id invariant
+  // holds and no other row moves. Only when some cell lacks the slots
+  // for its arrivals is the whole layout rewritten, once.
+  std::vector<int> arrivals(static_cast<size_t>(cells), 0);
+  for (int c : assign) ++arrivals[static_cast<size_t>(c)];
   for (int c = 0; c < cells; ++c) {
-    int live = 0;
-    for (int pos = cell_start_[static_cast<size_t>(c)];
-         pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] >= 0) ++live;
-    }
-    new_start[static_cast<size_t>(c) + 1] = live;
-  }
-  for (int i = 0; i < n; ++i) {
-    ++new_start[static_cast<size_t>(assign[static_cast<size_t>(i)]) + 1];
-  }
-  for (int c = 0; c < cells; ++c) {
-    new_start[static_cast<size_t>(c) + 1] +=
-        new_start[static_cast<size_t>(c)];
-  }
-  const int n_new = new_start[static_cast<size_t>(cells)];
-  QuantRowStore new_store;
-  new_store.Reset(dim_, storage_.storage);
-  new_store.ResizeRows(n_new);
-  std::vector<int> new_ids(static_cast<size_t>(n_new));
-  std::vector<int> cursor(new_start.begin(), new_start.end() - 1);
-  for (int c = 0; c < cells; ++c) {
-    for (int pos = cell_start_[static_cast<size_t>(c)];
-         pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] < 0) continue;
-      const int w = cursor[static_cast<size_t>(c)]++;
-      new_ids[static_cast<size_t>(w)] = ids_[static_cast<size_t>(pos)];
-      // Surviving rows move verbatim; only the arriving rows below pass
-      // through quantization (their one ingest point).
-      new_store.PlaceFrom(store_, pos, w);
+    if (cell_end_[static_cast<size_t>(c)] + arrivals[static_cast<size_t>(c)] >
+        cell_start_[static_cast<size_t>(c) + 1]) {
+      Relayout(arrivals);
+      break;
     }
   }
   for (int i = 0; i < n; ++i) {
-    const int w = cursor[static_cast<size_t>(assign[static_cast<size_t>(i)])]++;
-    new_ids[static_cast<size_t>(w)] = next_id_ + i;
-    new_store.Place(rows + static_cast<size_t>(i) * dim_, w);
+    const size_t c = static_cast<size_t>(assign[static_cast<size_t>(i)]);
+    const int pos = cell_end_[c]++;
+    ++cell_live_[c];
+    ids_[static_cast<size_t>(pos)] = next_id_ + i;
+    pos_by_id_.emplace(next_id_ + i, pos);
+    // The arriving row's one quantization point.
+    store_.Place(rows + static_cast<size_t>(i) * dim_, pos);
   }
-  store_ = std::move(new_store);
-  ids_ = std::move(new_ids);
-  cell_start_.assign(new_start.begin(), new_start.end());
-  n_ = n_new;
-  n_tombstones_ = 0;
+  n_ += n;
   next_id_ += n;
-  pos_by_id_.clear();
-  pos_by_id_.reserve(static_cast<size_t>(n_));
-  for (int pos = 0; pos < n_; ++pos) {
-    pos_by_id_.emplace(ids_[static_cast<size_t>(pos)], pos);
-  }
   inserts_since_train_ += n;
   MaybeRetrain();
   return Status::OK();
@@ -334,7 +319,12 @@ Status IvfIndex::Remove(const int* ids, int n) {
   }
   for (int i = 0; i < n; ++i) {
     const auto it = pos_by_id_.find(ids[i]);
-    ids_[static_cast<size_t>(it->second)] = -1;
+    const int pos = it->second;
+    ids_[static_cast<size_t>(pos)] = -1;
+    // Cells are few: find the one holding `pos` by its region start.
+    const auto cell = std::upper_bound(cell_start_.begin(), cell_start_.end(),
+                                       pos) - cell_start_.begin() - 1;
+    --cell_live_[static_cast<size_t>(cell)];
     pos_by_id_.erase(it);
     ++n_tombstones_;
   }
@@ -348,30 +338,64 @@ void IvfIndex::CompactIfNeeded() {
           mutation_.compact_tombstone_fraction * static_cast<float>(n_)) {
     return;
   }
-  // Stable per-cell erase: live rows keep their relative order inside
-  // each cell and the prefix shrinks accordingly; centroids and cell
-  // identity are untouched (this is storage hygiene, not re-training).
+  // Stable per-cell erase within each cell's own region: live rows keep
+  // their relative order and the freed slots join the cell's free tail;
+  // centroids and cell identity are untouched (this is storage hygiene,
+  // not re-training).
   const int cells = num_cells();
-  int w = 0;
   for (int c = 0; c < cells; ++c) {
-    const int r0 = cell_start_[static_cast<size_t>(c)];
-    const int r1 = cell_start_[static_cast<size_t>(c) + 1];
-    cell_start_[static_cast<size_t>(c)] = w;
-    for (int pos = r0; pos < r1; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] < 0) continue;
+    int w = cell_start_[static_cast<size_t>(c)];
+    for (int pos = w; pos < cell_end_[static_cast<size_t>(c)]; ++pos) {
+      const int id = ids_[static_cast<size_t>(pos)];
+      if (id < 0) continue;
       if (w != pos) {
         store_.MoveRow(pos, w);
-        ids_[static_cast<size_t>(w)] = ids_[static_cast<size_t>(pos)];
+        ids_[static_cast<size_t>(w)] = id;
+        ids_[static_cast<size_t>(pos)] = -1;
+        pos_by_id_[id] = w;
       }
-      pos_by_id_[ids_[static_cast<size_t>(w)]] = w;
       ++w;
     }
+    cell_end_[static_cast<size_t>(c)] = w;
   }
-  cell_start_[static_cast<size_t>(cells)] = w;
-  n_ = w;
+  n_ = size();
   n_tombstones_ = 0;
-  store_.Truncate(n_);
-  ids_.resize(static_cast<size_t>(n_));
+}
+
+void IvfIndex::Relayout(const std::vector<int>& arrivals) {
+  const int cells = num_cells();
+  std::vector<int> new_start(static_cast<size_t>(cells) + 1, 0);
+  for (int c = 0; c < cells; ++c) {
+    const int need = cell_end_[static_cast<size_t>(c)] -
+                     cell_start_[static_cast<size_t>(c)] +
+                     arrivals[static_cast<size_t>(c)];
+    new_start[static_cast<size_t>(c) + 1] =
+        new_start[static_cast<size_t>(c)] + need + need / kHeadroomDivisor +
+        kMinHeadroom;
+  }
+  const int slots = new_start[static_cast<size_t>(cells)];
+  QuantRowStore new_store;
+  new_store.Reset(dim_, storage_.storage);
+  new_store.ResizeRows(slots);
+  std::vector<int> new_ids(static_cast<size_t>(slots), -1);
+  for (int c = 0; c < cells; ++c) {
+    const int r0 = cell_start_[static_cast<size_t>(c)];
+    const int r1 = cell_end_[static_cast<size_t>(c)];
+    const int w0 = new_start[static_cast<size_t>(c)];
+    for (int pos = r0; pos < r1; ++pos) {
+      const int id = ids_[static_cast<size_t>(pos)];
+      if (id < 0) continue;  // a tombstone keeps its slot, not its row
+      const int w = w0 + (pos - r0);
+      new_ids[static_cast<size_t>(w)] = id;
+      pos_by_id_[id] = w;
+      // Verbatim (codes, scale) move - a re-layout never re-quantizes.
+      new_store.PlaceFrom(store_, pos, w);
+    }
+    cell_end_[static_cast<size_t>(c)] = w0 + (r1 - r0);
+  }
+  store_ = std::move(new_store);
+  ids_ = std::move(new_ids);
+  cell_start_ = std::move(new_start);
 }
 
 void IvfIndex::MaybeRetrain() {
@@ -384,15 +408,8 @@ void IvfIndex::MaybeRetrain() {
           static_cast<float>(std::max(1, n_at_last_train_));
   bool imbalance = false;
   if (live >= cells) {  // mean >= 1: below that the ratio is noise
-    int max_live = 0;
-    for (int c = 0; c < cells; ++c) {
-      int cell_live = 0;
-      for (int pos = cell_start_[static_cast<size_t>(c)];
-           pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-        if (ids_[static_cast<size_t>(pos)] >= 0) ++cell_live;
-      }
-      max_live = std::max(max_live, cell_live);
-    }
+    const int max_live =
+        *std::max_element(cell_live_.begin(), cell_live_.end());
     imbalance = static_cast<float>(max_live) * static_cast<float>(cells) >
                 mutation_.retrain_imbalance * static_cast<float>(live);
   }
@@ -487,7 +504,7 @@ void IvfIndex::QueryBatchImpl(
             size_t h = g;
             while (h < probes.size() && probes[h].first == cell) ++h;
             const int r0 = cell_start_[static_cast<size_t>(cell)];
-            const int r1 = cell_start_[static_cast<size_t>(cell) + 1];
+            const int r1 = cell_end_[static_cast<size_t>(cell)];
             const int nr = r1 - r0;
             const int gq = static_cast<int>(h - g);
             if (nr == 0) {

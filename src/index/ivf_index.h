@@ -26,15 +26,25 @@
 // bit-identical to KnnIndex on the same tier - including after any
 // insert/remove sequence.
 //
-// Mutation (VectorIndex): Insert assigns each arriving row to its
-// nearest cell (deterministic centroid argmax) and rewrites the
-// cell-grouped layout in one pass, so probing stays stride-1; Remove
-// tombstones in place and the layout compacts once tombstones exceed the
-// configured fraction. The cells themselves re-train - a fresh seeded
-// k-means over the live rows - when insert volume since the last
-// training or cell-size imbalance crosses the MutationOptions
-// thresholds, so approximation quality tracks a drifting corpus instead
-// of decaying with it.
+// Mutation (VectorIndex): the store is one flat buffer with a slot
+// region per cell; cell c uses [cell_start_[c], cell_end_[c]) and keeps
+// the rest of its region as free tail slots. Insert assigns each
+// arriving row to its nearest cell (deterministic centroid argmax) and
+// writes it at the end of that cell's used range - O(dim) per row, the
+// other rows never move - so probing stays stride-1. When an arrival
+// finds its cell full, every cell is re-laid out once with headroom
+// proportional to its size, which keeps the amortized cost per row
+// O(dim). Remove tombstones in place; tombstones outlive inserts and
+// re-layouts until they exceed the configured fraction, when each cell
+// compacts within its own region. The cells themselves re-train - a
+// fresh seeded k-means over the live rows in ascending-id order, laid
+// out with no headroom - when insert volume since the last training or
+// cell-size imbalance (per-cell live counts kept incrementally) crosses
+// the MutationOptions thresholds, so approximation quality tracks a
+// drifting corpus instead of decaying with it. Where a row sits never
+// reaches a result (scores are independent chains, ties break by id),
+// so any interleaving of single-row and batched inserts gives the same
+// answers as long as the retrain triggers fire at the same calls.
 
 #ifndef SUDOWOODO_INDEX_IVF_INDEX_H_
 #define SUDOWOODO_INDEX_IVF_INDEX_H_
@@ -132,11 +142,13 @@ class IvfIndex : public VectorIndex {
   int size() const override { return n_ - n_tombstones_; }
   int dim() const override { return dim_; }
   int next_id() const override { return next_id_; }
-  /// Row storage + id map + centroids + cell table (see VectorIndex).
+  /// Row storage and id map (free tail slots included) + centroids +
+  /// cell tables (see VectorIndex).
   size_t bytes_resident() const override {
     return store_.bytes_resident() + ids_.size() * sizeof(int) +
            centroids_.size() * sizeof(float) +
-           cell_start_.size() * sizeof(int);
+           (cell_start_.size() + cell_end_.size() + cell_live_.size()) *
+               sizeof(int);
   }
 
   // --- historical clamp-style wrappers (explicit nprobe per call) ---
@@ -187,23 +199,30 @@ class IvfIndex : public VectorIndex {
   void Build(const float* rows, const int* ids, int n, int dim);
   /// Copies the live (codes, scale) rows and ids in ascending-id order.
   void GatherLiveStore(QuantRowStore* staging, std::vector<int>* ids) const;
+  /// Re-lays out every cell into a fresh store with room for
+  /// `arrivals[c]` more rows plus headroom proportional to the cell's
+  /// size. Used rows (tombstones included) keep their order.
+  void Relayout(const std::vector<int>& arrivals);
   /// Re-trains cells over the live rows when the volume or imbalance
   /// trigger fires (no-op otherwise).
   void MaybeRetrain();
-  /// Physically drops tombstoned rows (cells and centroids unchanged)
-  /// once they exceed the configured fraction.
+  /// Physically drops tombstoned rows within each cell's region (cells,
+  /// centroids and regions unchanged) once they exceed the configured
+  /// fraction.
   void CompactIfNeeded();
   /// The unvalidated query core (k/nprobe already clamped, dims checked).
   void QueryBatchImpl(const float* queries, int n_queries, int k, int nprobe,
                       int num_threads,
                       std::vector<std::vector<Neighbor>>* out) const;
 
-  QuantRowStore store_;           // [n_, dim] rows, grouped by cell
-  std::vector<int> ids_;          // storage position -> id, -1 = tombstoned
+  QuantRowStore store_;           // [slots, dim] rows, grouped by cell
+  std::vector<int> ids_;          // slot -> id, -1 = tombstoned or free
   std::unordered_map<int, int> pos_by_id_;  // live ids only
-  std::vector<int> cell_start_;   // [cells + 1] prefix into flat_/ids_
+  std::vector<int> cell_start_;   // [cells + 1] slot-region prefix
+  std::vector<int> cell_end_;     // [cells] end of each cell's used range
+  std::vector<int> cell_live_;    // [cells] live rows per cell
   std::vector<float> centroids_;  // [cells, dim], L2-normalized
-  int n_ = 0;                     // stored rows (incl. tombstones)
+  int n_ = 0;                     // used slots (live + tombstones)
   int dim_ = 0;
   int n_tombstones_ = 0;
   int next_id_ = 0;

@@ -4,7 +4,7 @@
 //
 // Quantize-once contract: a row is quantized exactly once, when it
 // enters the store from fp32 (Append/Place). Every later layout move -
-// compaction (MoveRow/Truncate), IVF cell rewrite and retraining
+// compaction (MoveRow/Truncate), IVF re-layout and retraining
 // (PlaceFrom across stores), facade migration (AppendFrom) - transfers
 // the (codes, scale) pair verbatim. Re-quantizing a dequantized row
 // would preserve the codes but can move the scale by 1 ulp (the

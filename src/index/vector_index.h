@@ -15,11 +15,13 @@
 // Mutation model. Items carry dense integer ids: construction assigns
 // 0..n-1 in row order and Insert appends ids monotonically from there
 // (`next_id()` before an Insert tells the caller which ids the batch
-// will receive). Remove tombstones by id; storage is compacted when
-// tombstones exceed MutationOptions::compact_tombstone_fraction of the
-// stored rows. Because ids are assigned monotonically and compaction
-// preserves storage order, live rows are always stored in ascending-id
-// order - which is what keeps the exact index's post-mutation results
+// will receive). Remove tombstones by id. Tombstones outlive inserts:
+// they stay in place, still counted as stored rows, until they exceed
+// MutationOptions::compact_tombstone_fraction of the stored rows, when
+// storage compacts (an IVF re-train also drops them). Because ids are
+// assigned monotonically and compaction preserves storage order, live
+// rows are always stored in ascending-id order (within each cell, for
+// IVF) - which is what keeps the exact index's post-mutation results
 // bitwise identical to an index rebuilt from scratch on the surviving
 // rows (see knn_index.h).
 
@@ -68,7 +70,7 @@ enum class IndexStorage {
   /// generation scores through the int8 panel kernel, and the final
   /// top-k re-ranks the leading candidates exactly in fp32 on
   /// dequantized rows. Rows quantize once on ingest; every later layout
-  /// move (compaction, IVF cell rewrite, retraining, facade migration)
+  /// move (compaction, IVF re-layout, retraining, facade migration)
   /// transfers the (codes, scale) pair verbatim, so mutation never
   /// re-rounds and post-mutation results match a from-scratch int8
   /// rebuild on the surviving rows.
@@ -154,9 +156,10 @@ class VectorIndex {
   /// Resident bytes of the index payload: row storage (fp32 rows, or
   /// int8 codes + per-row scales), id map, and - for IVF - centroids and
   /// cell tables. Counts the bytes the index semantically holds (incl.
-  /// tombstoned rows awaiting compaction), not allocator slack; the
-  /// observable behind the int8 memory claim (bytes_resident under int8
-  /// is ~0.27x of fp32 at dim 64, see BENCH_ann.json).
+  /// tombstoned rows awaiting compaction and IVF cells' free tail
+  /// slots), not allocator slack; the observable behind the int8 memory
+  /// claim (bytes_resident under int8 is ~0.27x of fp32 at dim 64, see
+  /// BENCH_ann.json).
   virtual size_t bytes_resident() const = 0;
 
   /// Single-query convenience over QueryBatch.

@@ -66,6 +66,10 @@ class Encoder {
   /// Output representation width.
   virtual int dim() const = 0;
 
+  /// Token ids this encoder embeds: every id in an input sequence must
+  /// lie in [0, vocab_size()).
+  virtual int vocab_size() const = 0;
+
   /// Serving front door used by the dynamic batcher (src/serving): the
   /// EncodeInference route plus per-row L2 normalization (Definition 1),
   /// written straight into the caller's [batch.size(), dim()] buffer.
@@ -320,6 +324,7 @@ class TransformerEncoder : public Encoder {
 
   std::vector<Tensor> Parameters() const override;
   int dim() const override { return config_.dim; }
+  int vocab_size() const override { return token_emb_.vocab_size(); }
   const TransformerConfig& config() const { return config_; }
 
  protected:
@@ -409,6 +414,7 @@ class FastBagEncoder : public Encoder {
 
   std::vector<Tensor> Parameters() const override;
   int dim() const override { return config_.dim; }
+  int vocab_size() const override { return token_emb_.vocab_size(); }
 
  protected:
   Tensor EncodeBatchImpl(const std::vector<std::vector<int>>& batch,

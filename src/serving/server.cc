@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 namespace sudowoodo::serving {
@@ -17,6 +18,8 @@ Server::Server(std::vector<ModelReplica> replicas,
   for (const ModelReplica& r : replicas_) {
     SUDO_CHECK(r.encoder != nullptr);
     SUDO_CHECK(r.encoder->dim() == replicas_.front().encoder->dim());
+    SUDO_CHECK(r.encoder->vocab_size() ==
+               replicas_.front().encoder->vocab_size());
     SUDO_CHECK(options_.live_index == nullptr ||
                options_.live_index->dim() == r.encoder->dim());
     // All-or-nothing matchers: Submit-time validation checks one replica
@@ -41,6 +44,19 @@ void Server::Shutdown() {
 }
 
 Status Server::Validate(const Request& request) const {
+  if (request.kind == RequestKind::kEncode ||
+      request.kind == RequestKind::kQuery ||
+      request.kind == RequestKind::kUpsert) {
+    // Replicas share one vocabulary, so one replica speaks for all.
+    const int vocab = replicas_.front().encoder->vocab_size();
+    for (int id : request.ids) {
+      if (id < 0 || id >= vocab) {
+        return Status::InvalidArgument(
+            "token id " + std::to_string(id) + " outside the vocabulary [0, " +
+            std::to_string(vocab) + ")");
+      }
+    }
+  }
   switch (request.kind) {
     case RequestKind::kEncode:
       return Status::OK();

@@ -56,10 +56,11 @@ enum class RequestKind {
 
 struct Request {
   RequestKind kind = RequestKind::kEncode;
-  /// kEncode / kQuery / kUpsert: the token-id sequence to embed. For
-  /// kUpsert it is also the item's cache key: replacing an item with
-  /// different tokens invalidates the old serialization's cached
-  /// embedding (index/live_index.h).
+  /// kEncode / kQuery / kUpsert: the token-id sequence to embed, each id
+  /// in [0, encoder vocab_size()) - Submit rejects any other id with
+  /// InvalidArgument. For kUpsert it is also the item's cache key:
+  /// replacing an item with different tokens invalidates the old
+  /// serialization's cached embedding (index/live_index.h).
   std::vector<int> ids;
   /// kUpsert / kDelete: the caller's item id (non-negative).
   int item_id = -1;

@@ -35,6 +35,7 @@ using index::BlockingIndex;
 using index::BlockingIndexKind;
 using index::BlockingIndexOptions;
 using index::EmbeddingCache;
+using index::IndexStorage;
 using index::IvfIndex;
 using index::IvfOptions;
 using index::KnnIndex;
@@ -42,6 +43,7 @@ using index::LiveBlockingIndex;
 using index::LiveItem;
 using index::MutationOptions;
 using index::Neighbor;
+using index::StorageOptions;
 using index::VectorIndex;
 
 std::vector<float> ClusteredUnitRows(int n, int dim, int n_clusters,
@@ -327,6 +329,14 @@ IvfOptions SmallIvf(int nprobe = 16) {
   return o;
 }
 
+/// Both re-train triggers off.
+MutationOptions NoRetrain() {
+  MutationOptions m;
+  m.retrain_insert_fraction = 1e6f;
+  m.retrain_imbalance = 1e6f;
+  return m;
+}
+
 TEST(IvfIndexMutationTest, ProbeAllCellsBitwiseEqualsExactAfterMutations) {
   const int dim = 24;
   auto rows = ClusteredUnitRows(600, dim, 9, 0.15f, 41);
@@ -420,6 +430,28 @@ TEST(IvfIndexMutationTest, ImbalanceTriggerRetrains) {
   EXPECT_GE(ivf.retrain_count(), 1);
 }
 
+TEST(IvfIndexMutationTest, ImbalanceTriggerCountsOnlyLiveRows) {
+  const int dim = 16;
+  auto base = ClusteredUnitRows(200, dim, 8, 0.1f, 46);
+  auto pile = ClusteredUnitRows(30, dim, 1, 0.02f, 47);
+
+  MutationOptions m = NoRetrain();
+  m.retrain_imbalance = 4.0f;
+  IvfIndex ivf(base.data(), 200, dim, SmallIvf(), m);
+  // Four rounds of 30 arrivals into one cell, each removed again: the
+  // hot cell holds at most 30 of them live at a time, so max/mean stays
+  // below 4 - while counting the removed ones too would put it above 6.
+  for (int round = 0; round < 4; ++round) {
+    const int first = ivf.next_id();
+    ASSERT_TRUE(ivf.Insert(pile.data(), 30, dim).ok());
+    std::vector<int> ids(30);
+    std::iota(ids.begin(), ids.end(), first);
+    ASSERT_TRUE(ivf.Remove(ids.data(), 30).ok());
+  }
+  ASSERT_TRUE(ivf.Insert(pile.data(), 30, dim).ok());
+  EXPECT_EQ(ivf.retrain_count(), 0);
+}
+
 TEST(IvfIndexMutationTest, CompactionIsInvisibleInResults) {
   const int dim = 16;
   auto rows = ClusteredUnitRows(400, dim, 8, 0.15f, 48);
@@ -467,6 +499,157 @@ TEST(IvfIndexMutationTest, StatusErrorsOnBadMutations) {
   auto ok = IvfIndex::Create(rows.data(), 50, dim, SmallIvf());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value()->size(), 50);
+}
+
+// --- IvfIndex single-row inserts (per-cell free tail slots) -----------------
+//
+// A single-row Insert writes the row at the end of its cell's used range
+// and re-lays out every cell only when one runs out of slots, so the
+// physical layout depends on how arrivals were batched. Results must
+// not: each battery below compares single-row arrivals against a twin
+// that received the same rows in larger batches.
+
+void ExpectSameMutationState(const IvfIndex& a, const IvfIndex& b) {
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.stored_size(), b.stored_size());
+  EXPECT_EQ(a.tombstones(), b.tombstones());
+  EXPECT_EQ(a.next_id(), b.next_id());
+  EXPECT_EQ(a.retrain_count(), b.retrain_count());
+  EXPECT_EQ(a.num_cells(), b.num_cells());
+}
+
+TEST(IvfIndexMutationTest, SingleRowInsertsEqualOneBatchInsertBitwise) {
+  const int dim = 24;
+  auto rows = ClusteredUnitRows(800, dim, 9, 0.15f, 60);
+  auto queries = ClusteredUnitRows(40, dim, 9, 0.3f, 61);
+  for (IndexStorage storage : {IndexStorage::kFp32, IndexStorage::kInt8}) {
+    StorageOptions so;
+    so.storage = storage;
+    for (int nprobe : {2, 1 << 20}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "int8=" << (storage == IndexStorage::kInt8)
+                   << " nprobe=" << nprobe);
+      IvfIndex single(rows.data(), 200, dim, SmallIvf(nprobe), NoRetrain(),
+                      so);
+      IvfIndex batched(rows.data(), 200, dim, SmallIvf(nprobe), NoRetrain(),
+                       so);
+      for (int i = 200; i < 800; ++i) {
+        ASSERT_TRUE(
+            single.Insert(rows.data() + static_cast<size_t>(i) * dim, 1, dim)
+                .ok());
+      }
+      ASSERT_TRUE(batched.Insert(rows.data() + 200 * dim, 600, dim).ok());
+      ExpectSameMutationState(single, batched);
+      EXPECT_EQ(single.size(), 800);
+      for (int threads : {1, 2, 4}) {
+        ExpectBitIdentical(StatusQuery(single, queries, dim, 10, threads),
+                           StatusQuery(batched, queries, dim, 10, threads));
+      }
+    }
+  }
+}
+
+TEST(IvfIndexMutationTest, InterleavedSingleRowMutationsMatchBatchedTwin) {
+  const int dim = 16;
+  auto rows = ClusteredUnitRows(800, dim, 8, 0.15f, 62);
+  auto queries = ClusteredUnitRows(30, dim, 8, 0.3f, 63);
+  MutationOptions m;
+  m.compact_tombstone_fraction = 0.05f;
+  m.retrain_insert_fraction = 0.5f;
+  for (IndexStorage storage : {IndexStorage::kFp32, IndexStorage::kInt8}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "int8=" << (storage == IndexStorage::kInt8));
+    StorageOptions so;
+    so.storage = storage;
+    IvfIndex single(rows.data(), 200, dim, SmallIvf(2), m, so);
+    IvfIndex twin(rows.data(), 200, dim, SmallIvf(2), m, so);
+    std::vector<int> live(200);
+    std::iota(live.begin(), live.end(), 0);
+    Rng rng(64);
+    int pending = 200;  // first row the twin has not received yet
+    bool compacted = false;
+    bool relaid_out = false;
+    // The twin takes the single index's arrivals as one batch up to each
+    // remove and each insert that retrained the single index, so both
+    // see the retrain triggers fire at the same point.
+    auto flush_twin = [&](int end) {
+      if (end > pending) {
+        ASSERT_TRUE(twin.Insert(rows.data() + static_cast<size_t>(pending) *
+                                                  dim,
+                                end - pending, dim)
+                        .ok());
+      }
+      pending = end;
+    };
+    for (int i = 200; i < 800; ++i) {
+      const int retrains = single.retrain_count();
+      const size_t bytes = single.bytes_resident();
+      ASSERT_TRUE(
+          single.Insert(rows.data() + static_cast<size_t>(i) * dim, 1, dim)
+              .ok());
+      live.push_back(i);
+      if (single.retrain_count() != retrains) {
+        flush_twin(i + 1);
+      } else if (single.bytes_resident() > bytes) {
+        relaid_out = true;  // no retrain, yet the store grew
+      }
+      if (i % 3 != 0) continue;
+      flush_twin(i + 1);
+      const size_t victim = static_cast<size_t>(
+          rng.UniformInt(static_cast<int>(live.size())));
+      const int id = live[victim];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      const int tombstones = single.tombstones();
+      ASSERT_TRUE(single.Remove(&id, 1).ok());
+      ASSERT_TRUE(twin.Remove(&id, 1).ok());
+      compacted = compacted || single.tombstones() < tombstones + 1;
+      ExpectSameMutationState(single, twin);
+    }
+    flush_twin(800);
+    ExpectSameMutationState(single, twin);
+    EXPECT_TRUE(compacted);
+    EXPECT_TRUE(relaid_out);
+    EXPECT_GE(single.retrain_count(), 2);
+    for (int threads : {1, 4}) {
+      ExpectBitIdentical(StatusQuery(single, queries, dim, 10, threads),
+                         StatusQuery(twin, queries, dim, 10, threads));
+    }
+  }
+}
+
+TEST(IvfIndexMutationTest, OneHotCellOverflowsRepeatedly) {
+  const int dim = 16;
+  auto base = ClusteredUnitRows(200, dim, 8, 0.1f, 65);
+  auto pile = ClusteredUnitRows(400, dim, 1, 0.02f, 66);
+  auto queries = ClusteredUnitRows(20, dim, 8, 0.3f, 67);
+  for (IndexStorage storage : {IndexStorage::kFp32, IndexStorage::kInt8}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "int8=" << (storage == IndexStorage::kInt8));
+    StorageOptions so;
+    so.storage = storage;
+    IvfIndex single(base.data(), 200, dim, SmallIvf(1), NoRetrain(), so);
+    IvfIndex batched(base.data(), 200, dim, SmallIvf(1), NoRetrain(), so);
+    int relayouts = 0;
+    for (int i = 0; i < 400; ++i) {
+      const size_t bytes = single.bytes_resident();
+      ASSERT_TRUE(
+          single.Insert(pile.data() + static_cast<size_t>(i) * dim, 1, dim)
+              .ok());
+      relayouts += single.bytes_resident() > bytes ? 1 : 0;
+    }
+    ASSERT_TRUE(batched.Insert(pile.data(), 400, dim).ok());
+    ExpectSameMutationState(single, batched);
+    // One hot cell of ~17 rows growing to ~417 by a quarter at a time.
+    EXPECT_GE(relayouts, 5);
+    // The pile's first rows as queries: nprobe 1 probes the hot cell.
+    const std::vector<float> hot(pile.begin(), pile.begin() + 10 * dim);
+    for (const auto& q : {hot, queries}) {
+      for (int threads : {1, 2, 4}) {
+        ExpectBitIdentical(StatusQuery(single, q, dim, 10, threads),
+                           StatusQuery(batched, q, dim, 10, threads));
+      }
+    }
+  }
 }
 
 // --- BlockingIndex facade mutation -------------------------------------------

@@ -472,6 +472,43 @@ TEST(ServingTest, InvalidRequestsRejectedUpFront) {
             StatusCode::kInvalidArgument);
 }
 
+// A token id outside the encoder vocabulary would reach the embedding
+// gather's CHECK and abort the whole process, so Submit must answer it
+// with InvalidArgument and the server must keep serving everyone else.
+TEST(ServingTest, OutOfRangeTokenIdsRejectedAndServerKeepsServing) {
+  auto oracle_enc = MakeServingEncoder(/*seed=*/7);
+  auto enc = MakeServingEncoder(/*seed=*/7);
+  index::LiveBlockingIndex live(kDim, {});
+  ServerOptions opts;
+  opts.max_batch = 8;
+  opts.live_index = &live;
+  Server server({{enc.get(), nullptr}}, opts);
+  ASSERT_EQ(enc->vocab_size(), kVocab);
+
+  for (RequestKind kind :
+       {RequestKind::kEncode, RequestKind::kQuery, RequestKind::kUpsert}) {
+    for (int bad : {-1, kVocab, 5000000}) {
+      Request req;
+      req.kind = kind;
+      req.item_id = 1;
+      req.ids = {7, bad, 8};
+      EXPECT_EQ(server.Submit(std::move(req)).get().status.code(),
+                StatusCode::kInvalidArgument)
+          << "kind " << static_cast<int>(kind) << " id " << bad;
+    }
+  }
+  EXPECT_EQ(live.size(), 0);
+
+  Rng rng(31);
+  Request ok;
+  ok.kind = RequestKind::kEncode;
+  ok.ids = RandomIds(&rng);
+  ok.ids.back() = kVocab - 1;  // the top id is still in range
+  Response want;
+  want.embedding = oracle_enc->EmbedNormalized({ok.ids}).front();
+  ExpectBitIdentical(server.Submit(ok).get(), want, ok);
+}
+
 // Warm restart: a replica built from a *different* seed, then restored
 // from the first replica's SaveWeights file, must serve bit-identically -
 // the durability bugs this PR fixes were exactly the ones that silently
